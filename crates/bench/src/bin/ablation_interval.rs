@@ -331,7 +331,5 @@ fn main() {
         inexact_write_rejected: rejected,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_interval.json", &json).expect("write BENCH_interval.json");
-    println!();
-    println!("wrote BENCH_interval.json");
+    mekong_bench::write_record(args.quick, "BENCH_interval.json", &json);
 }

@@ -327,7 +327,5 @@ fn main() {
 
     let report = Report { correctness, perf };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!();
-    println!("wrote BENCH_pipeline.json");
+    mekong_bench::write_record(args.quick, "BENCH_pipeline.json", &json);
 }

@@ -280,7 +280,5 @@ fn main() {
         },
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_replay.json", &json).expect("write BENCH_replay.json");
-    println!();
-    println!("wrote BENCH_replay.json");
+    mekong_bench::write_record(args.quick, "BENCH_replay.json", &json);
 }

@@ -303,7 +303,5 @@ fn main() {
 
     let report = Report { hotspot, blur };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_replica.json", &json).expect("write BENCH_replica.json");
-    println!();
-    println!("wrote BENCH_replica.json");
+    mekong_bench::write_record(args.quick, "BENCH_replica.json", &json);
 }

@@ -430,7 +430,5 @@ fn main() {
         warm_start_outputs_identical: true,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!();
-    println!("wrote BENCH_serve.json");
+    mekong_bench::write_record(args.quick, "BENCH_serve.json", &json);
 }

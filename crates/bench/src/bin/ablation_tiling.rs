@@ -483,7 +483,5 @@ fn main() {
         },
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_tiling.json", &json).expect("write BENCH_tiling.json");
-    println!();
-    println!("wrote BENCH_tiling.json");
+    mekong_bench::write_record(args.quick, "BENCH_tiling.json", &json);
 }

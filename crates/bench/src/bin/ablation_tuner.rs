@@ -536,7 +536,5 @@ fn main() {
         },
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_tuner.json", &json).expect("write BENCH_tuner.json");
-    println!();
-    println!("wrote BENCH_tuner.json");
+    mekong_bench::write_record(args.quick, "BENCH_tuner.json", &json);
 }

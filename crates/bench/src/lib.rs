@@ -48,6 +48,23 @@ pub fn row(cells: &[String], width: usize) -> String {
         .join(" ")
 }
 
+/// Write a `BENCH_*.json` record and print where it went. Full runs
+/// write the repository root, where the committed records live;
+/// `--quick` smoke runs write under `target/bench-quick/`, so a smoke
+/// run never overwrites a committed record.
+pub fn write_record(quick: bool, file: &str, json: &str) {
+    let path = if quick {
+        let dir = std::path::Path::new("target/bench-quick");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+        dir.join(file)
+    } else {
+        std::path::PathBuf::from(file)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!();
+    println!("wrote {}", path.display());
+}
+
 /// Parsed common benchmark flags.
 pub struct BenchArgs {
     pub quick: bool,

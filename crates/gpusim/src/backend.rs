@@ -8,18 +8,14 @@
 //! capture/replay, the tuner — is backend-agnostic: a "device" is any
 //! unit that owns memory and executes a grid range.
 //!
-//! Two implementations exist:
-//!
-//! * [`crate::Machine`] (alias [`SimMachine`]) — the simulated multi-GPU
-//!   machine, with async command streams and the PCIe/NVLink timing
-//!   model. It also hosts `HostCpu`-class device slots for mixed
-//!   CPU+GPU machines ([`crate::spec::MachineSpec::hybrid_system`]),
-//!   pricing each copy by its endpoints' classes.
-//! * [`crate::cpu::CpuBackend`] — a pure-host executor: every device is
-//!   a CPU socket, kernels fan out over host threads (the same
-//!   block-isolated shadow-memory engine), and all "transfers" are
-//!   memcpys priced with the host-memory constants — no PCIe hop
-//!   anywhere.
+//! [`crate::Machine`] (alias [`SimMachine`]) is the one implementation:
+//! the simulated machine, with async command streams and the
+//! PCIe/NVLink timing model. Its device slots are sim-GPU dies, host CPU
+//! sockets ([`crate::spec::MachineSpec::cpu_system`]) or a mix of both
+//! ([`crate::spec::MachineSpec::hybrid_system`]); each copy is priced by
+//! its endpoints' classes, so host↔host "transfers" are memcpys with no
+//! PCIe hop. The trait stays the seam for instrumented wrappers (a
+//! tracing backend, a call recorder in tests) around a `Machine`.
 
 use crate::machine::{DevBuf, OpCounters, SimArg, SimTime, TimeBreakdown, TimeCat};
 use crate::spec::MachineSpec;
@@ -33,11 +29,7 @@ pub type ObservedWriteSets = HashMap<usize, Vec<(u64, u64)>>;
 /// A machine-level executor: device memories, copies, launches, clocks.
 ///
 /// Object-safe — the runtime holds a `Box<dyn Backend>` and dispatches
-/// every copy and launch through it on both the eager and pipelined
-/// paths. Implementations with no stream engine treat the stream ops as
-/// no-ops (`stream_mark` returns 0, `stream_wait_cross` does nothing);
-/// the runtime's event edges then degenerate to program order, which is
-/// always correct for a synchronous executor.
+/// every copy and launch through it, eager and launch-ahead alike.
 pub trait Backend {
     /// The machine specification (devices, links, host-cost constants).
     fn spec(&self) -> &MachineSpec;

@@ -24,14 +24,12 @@
 //! testbed's absolute numbers.
 
 pub mod backend;
-pub mod cpu;
 pub mod machine;
 pub mod shadow;
 pub mod spec;
 pub mod stream;
 
 pub use backend::{Backend, ObservedWriteSets, SimMachine};
-pub use cpu::CpuBackend;
 pub use machine::{
     sample_kernel_profile, DevBuf, Machine, OpCounters, SimArg, SimTime, ThreadProfile,
     TimeBreakdown, TimeCat,

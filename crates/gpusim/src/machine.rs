@@ -161,7 +161,7 @@ pub struct Machine {
     stream_error: Mutex<Option<SimError>>,
 }
 
-/// Cache key for the roofline estimate (shared with the CPU backend).
+/// Cache key for the roofline estimate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct KernelTimeKey {
     pub(crate) kernel: String,
@@ -1257,7 +1257,16 @@ mod tests {
 
     #[test]
     fn functional_roundtrip_h2d_kernel_d2h() {
-        let mut m = Machine::new(MachineSpec::kepler_system(2), true);
+        functional_roundtrip(Machine::new(MachineSpec::kepler_system(2), true));
+    }
+
+    #[test]
+    fn functional_roundtrip_on_host_sockets() {
+        // Host CPU sockets run the same functional path as GPU dies.
+        functional_roundtrip(Machine::new(MachineSpec::cpu_system(2), true));
+    }
+
+    fn functional_roundtrip(mut m: Machine) {
         let n = 1024usize;
         let x = m.alloc(0, n * 4).unwrap();
         let y = m.alloc(0, n * 4).unwrap();
@@ -1723,5 +1732,38 @@ mod tests {
             let got = m.debug_read(x1).unwrap();
             assert_eq!(got, host, "reader must observe pre-overwrite bytes");
         }
+    }
+
+    #[test]
+    fn host_copies_cost_memcpys_not_pcie() {
+        // The same 64 MiB transfer must be much cheaper on a host socket
+        // than over the simulated PCIe link.
+        let len = 64 << 20;
+        let mut cpu = Machine::new(MachineSpec::cpu_system(1), false);
+        let b = cpu.alloc(0, len).unwrap();
+        cpu.copy_h2d_timed(b, 0, len, false).unwrap();
+        let t_host = cpu.now();
+        let mut gpu = Machine::new(MachineSpec::kepler_system(1), false);
+        let g = gpu.alloc(0, len).unwrap();
+        gpu.copy_h2d_timed(g, 0, len, false).unwrap();
+        assert!(t_host < gpu.now(), "{t_host} !< {}", gpu.now());
+        let spec = cpu.spec().clone();
+        let expect = spec.host_copy_lat() + len as f64 / spec.host_copy_bw();
+        assert!((t_host - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn peer_memcpy_moves_bytes_between_sockets() {
+        let mut m = Machine::new(MachineSpec::cpu_system(2), true);
+        let a = m.alloc(0, 64).unwrap();
+        let b = m.alloc(1, 64).unwrap();
+        m.debug_write(a, &[7u8; 64]);
+        m.copy_d2d(a, 16, b, 16, 32).unwrap();
+        m.sync_all();
+        let out = m.debug_read(b).unwrap();
+        assert_eq!(&out[16..48], &[7u8; 32]);
+        assert_eq!(&out[..16], &[0u8; 16]);
+        assert_eq!(m.counters().d2d_copies, 1);
+        assert_eq!(m.counters().d2d_bytes, 32);
     }
 }

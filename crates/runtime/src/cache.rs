@@ -97,6 +97,11 @@ impl ShardedPlanCache {
         })
     }
 
+    /// Drop one plan (no-op when absent).
+    pub fn remove(&self, key: &PlanKey) {
+        self.shards[shard_of(&key.kernel)].lock().map.remove(key);
+    }
+
     /// Insert a freshly captured plan under `namespace`. Returns how many
     /// plans the capacity bound evicted to make room (0 when unbounded or
     /// not yet full).

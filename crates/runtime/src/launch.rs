@@ -4,12 +4,18 @@
 //! 2. synchronize all buffers that are read from,
 //! 3. launch each partition of the kernel on its device,
 //! 4. update the buffer trackers for all writes.
+//!
+//! Steps 2–4 of every partitioned launch are resolved into a
+//! [`LaunchPlan`] (`MgpuRuntime::resolve`) and issued by one executor
+//! (`MgpuRuntime::issue`), whether the plan was just resolved or comes
+//! from the plan cache, and whether it issues eagerly or into the
+//! launch-ahead window.
 
 use crate::compiled::CompiledKernel;
 use crate::plan::{ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch, PlanUpdate};
 use crate::tracker::{Owner, Validity};
 use crate::vbuf::{MgpuRuntime, VBufId, VirtualBuffer};
-use crate::{Result, RuntimeError};
+use crate::{to_usize, Result, RuntimeError};
 use mekong_analysis::ArgModel;
 use mekong_enumgen::AccessEnumerator;
 use mekong_gpusim::machine::SimArg;
@@ -171,6 +177,50 @@ struct SyncPlan {
     fetch_bytes: u64,
 }
 
+/// The pattern-cost accounting of a freshly resolved plan: what the
+/// tracker walk that built it paid, group by group, so that issuing the
+/// plan charges each group at its place in the Figure 4 sequence.
+struct Walk {
+    /// One group per `(gpu, read-arg)` pair, in issue order.
+    syncs: Vec<SyncGroup>,
+    /// End of each `(gpu, write-arg)` pair's ranges in
+    /// [`LaunchPlan::updates`], in issue order.
+    updates: Vec<usize>,
+}
+
+/// One `(gpu, read-arg)` pair of a [`Walk`].
+struct SyncGroup {
+    /// End of the pair's copies in [`LaunchPlan::copies`].
+    end: usize,
+    /// Pattern cost of the pair's enumerator walk and tracker query.
+    cost: f64,
+    /// Remote-fresh segment runs a local replica served.
+    replica_hits: u64,
+    /// Bytes those replica hits avoided re-fetching.
+    saved_bytes: u64,
+}
+
+/// Where an issued plan came from (see [`MgpuRuntime::issue`]).
+enum Source<'a> {
+    /// Resolved by this launch; pays what its walk measured.
+    Walked(&'a Walk),
+    /// Hit in the plan cache; `shared` when it was captured under
+    /// another namespace.
+    Cached { shared: bool },
+}
+
+/// Number of partition-bound scalars every partitioned kernel takes
+/// after its own arguments.
+const BOUND_ARGS: usize = 6;
+
+/// A partition's bound scalars — `lo` then `hi`, `[z, y, x]` each.
+fn bound_args(part: &Partition) -> impl Iterator<Item = SimArg> + '_ {
+    part.lo
+        .iter()
+        .chain(part.hi.iter())
+        .map(|&m| SimArg::Scalar(Value::I64(m)))
+}
+
 /// Total length in bytes of a set of possibly-overlapping ranges.
 fn merged_len(ranges: &[(u64, u64)]) -> u64 {
     let mut sorted = ranges.to_vec();
@@ -311,9 +361,11 @@ impl MgpuRuntime {
     /// The kernel-launch replacement: run `ck` over `grid × block` across
     /// all devices (Figure 4). Errors if the kernel failed the §4 checks.
     ///
-    /// With [`crate::RuntimeConfig::capture_plans`] on, the complete
-    /// command sequence is captured into the plan cache on a miss and
-    /// replayed directly on a hit (see [`crate::plan`]).
+    /// The launch resolves into a [`LaunchPlan`] that the one plan
+    /// executor (`MgpuRuntime::issue`) issues. With
+    /// [`crate::RuntimeConfig::capture_plans`] on, a miss keeps the plan
+    /// in the cache and a hit issues the cached plan directly (see
+    /// [`crate::plan`]).
     pub fn launch(
         &mut self,
         ck: &CompiledKernel,
@@ -365,37 +417,37 @@ impl MgpuRuntime {
         let d2d_before = (self.config.autotune && !self.forced.contains_key(&ck.model.kernel_name))
             .then(|| self.machine.counters().d2d_bytes);
         let capture = self.config.capture_plans && self.resolve_dependencies;
-        if capture {
-            let key = self.plan_key(ck, grid, block, args, strategy.as_ref(), &parts);
-            if let Some((plan, captured_by)) = self.plan_cache.get(&key) {
-                if captured_by != self.namespace {
-                    // Another tenant (or a loaded snapshot) captured this
-                    // plan — the cross-tenant sharing the serving layer
-                    // exists for.
-                    self.machine.note_plan_shared_hit();
+        let key = capture.then(|| self.plan_key(ck, grid, block, args, strategy.as_ref(), &parts));
+        let cached = key
+            .as_ref()
+            .and_then(|k| Some((k, self.plan_cache.get(k)?)));
+        match cached {
+            Some((key, (plan, captured_by))) => {
+                let shared = captured_by != self.namespace;
+                if let Err(e) = self.issue(ck, block, args, &plan, Source::Cached { shared }) {
+                    // A plan that cannot issue here serves no one: drop
+                    // it so the next launch resolves afresh.
+                    self.plan_cache.remove(key);
+                    return Err(e);
                 }
-                self.replay_plan(ck, block, args, &plan)?;
-            } else {
-                // A cold launch walks trackers and observes device
+            }
+            None => {
+                // A fresh launch walks trackers and observes device
                 // clocks directly: drain the launch-ahead window first.
                 self.pipeline_flush();
-                self.machine.note_plan_miss();
-                let plan = self.launch_full(ck, grid, block, args, &scalars, &parts, true)?;
-                let evicted = self.plan_cache.insert(
-                    key,
-                    Arc::new(plan.expect("capturing launch returns a plan")),
-                    self.namespace,
-                );
-                if evicted > 0 {
-                    self.machine.note_plan_evictions(evicted);
+                if self.resolve_dependencies {
+                    self.machine.note_plan_miss();
+                }
+                let (plan, walk) = self.resolve(ck, grid, block, args, &scalars, &parts, capture);
+                self.issue(ck, block, args, &plan, Source::Walked(&walk))?;
+                // Capturing a plan is keeping it.
+                if let Some(key) = key {
+                    let evicted = self.plan_cache.insert(key, Arc::new(plan), self.namespace);
+                    if evicted > 0 {
+                        self.machine.note_plan_evictions(evicted);
+                    }
                 }
             }
-        } else {
-            self.pipeline_flush();
-            if self.resolve_dependencies {
-                self.machine.note_plan_miss();
-            }
-            self.launch_full(ck, grid, block, args, &scalars, &parts, false)?;
         }
         if let Some(before) = d2d_before {
             let moved = self.machine.counters().d2d_bytes - before;
@@ -651,159 +703,76 @@ impl MgpuRuntime {
         }
     }
 
-    /// Materialize one captured partition launch's argument vector for
-    /// this runtime: captured scalars (including the trailing six
-    /// partition-bound scalars) pass through verbatim, while buffer
-    /// positions are re-resolved from the live `args` to this runtime's
-    /// own device instances. Within one runtime the result is identical
-    /// to the captured vector; across tenants — or across processes,
-    /// after a snapshot reload — it is the step that makes plans
-    /// portable.
-    pub(crate) fn resolve_sim_args(&self, l: &PlanLaunch, args: &[LaunchArg]) -> Vec<SimArg> {
-        let mut sim_args = l.sim_args.clone();
-        for (i, a) in args.iter().enumerate() {
-            if let LaunchArg::Buf(b) = a {
-                sim_args[i] = SimArg::Buf(self.buffers[b.index()].instances[l.gpu]);
-            }
-        }
-        sim_args
-    }
-
-    /// Replay a captured launch: enqueue the recorded copies and
-    /// launches, apply the recorded tracker updates. The tracker state
-    /// matches the capture byte for byte (the key embeds its signature),
-    /// so the sequence is exact — only the pattern cost differs: one
-    /// flat `host_per_replay` instead of the per-range/per-segment walk.
-    ///
-    /// Buffer references inside the plan are namespace-local ids; the
-    /// live `args` re-resolve them against *this* runtime's instances
-    /// (see [`MgpuRuntime::resolve_sim_args`]), so a plan captured by
-    /// another tenant — or loaded from a snapshot taken in another
-    /// process — replays correctly here.
-    fn replay_plan(
-        &mut self,
-        ck: &CompiledKernel,
-        block: Dim3,
+    /// One device's launch argument vector: scalars verbatim, buffers
+    /// resolved to their instance on `gpu`, then `bounds` — a partition's
+    /// six bound scalars ([`bound_args`]), or none for the original
+    /// kernel. Replay rebuilds captured launches through this too, so a
+    /// plan captured by another tenant — or loaded from a snapshot taken
+    /// in another process — runs on *this* runtime's instances.
+    fn sim_args(
+        &self,
         args: &[LaunchArg],
-        plan: &LaunchPlan,
-    ) -> Result<()> {
-        if self.config.launch_ahead > 0 {
-            // Launch-ahead pipelining: record event edges into the
-            // in-flight window instead of executing eagerly (see
-            // [`crate::pipeline`]).
-            return self.replay_plan_pipelined(ck, block, args, plan);
-        }
-        self.machine.note_plan_hit();
-        if plan.replica_hits > 0 {
-            // Replay skips the planning walk that detects replica-served
-            // reads; re-note what the capture observed.
-            self.machine
-                .note_replica_hits(plan.replica_hits, plan.replica_saved_bytes);
-        }
-        if plan.mayread_fetch_bytes > 0 {
-            // Same: replay skips the enumerator walk that meters
-            // bounded may-read boxes.
-            self.machine
-                .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
-        }
-        let cost = self.machine.spec().host_per_replay;
-        self.machine.charge_host(cost, TimeCat::Pattern);
-        let replica = self.config.replica_coherence;
-        for c in &plan.copies {
-            let src = self.buffers[c.vb.index()].instances[c.src_dev];
-            let dst = self.buffers[c.vb.index()].instances[c.dst_gpu];
-            let off = crate::to_usize(c.start, "copy offset")?;
-            let run = crate::to_usize(c.end - c.start, "copy length")?;
-            if c.count <= 1 {
-                self.machine.copy_d2d(src, off, dst, off, run)?;
-            } else {
-                self.machine.copy_d2d_strided(
-                    src,
-                    dst,
-                    off,
-                    run,
-                    crate::to_usize(c.stride, "copy stride")?,
-                    crate::to_usize(c.count, "copy count")?,
-                )?;
-            }
-            self.buffers[c.vb.index()].d2d_in_bytes += (c.end - c.start) * c.count;
-            if replica {
-                // Re-derive the holder additions the captured run made, so
-                // the tracker reaches the same state as the capture did.
-                for r in 0..c.count {
-                    let s = c.start + r * c.stride;
-                    self.buffers[c.vb.index()].tracker.add_holder(
-                        s,
-                        s + (c.end - c.start),
-                        c.dst_gpu,
-                    );
-                }
-            }
-        }
-        // Figure 4, line 8 — same barrier as the captured run.
-        self.machine.sync_all();
-        for l in &plan.launches {
-            let sim_args = self.resolve_sim_args(l, args);
-            self.machine.launch_with_traffic(
-                l.gpu,
-                &ck.partitioned,
-                &sim_args,
-                l.grid,
-                block,
-                Some(l.traffic),
-            )?;
-        }
-        let mut invalidated = 0usize;
-        for u in &plan.updates {
-            self.buffers[u.vb.index()].kernel_written = true;
-            invalidated += self.buffers[u.vb.index()]
-                .tracker
-                .update(u.start, u.end, Owner::Device(u.gpu))
-                .invalidated;
-            debug_assert!(self.buffers[u.vb.index()].tracker.check_invariants());
-        }
-        self.machine.note_replica_invalidations(invalidated as u64);
-        Ok(())
+        gpu: usize,
+        bounds: impl IntoIterator<Item = SimArg>,
+    ) -> Vec<SimArg> {
+        args.iter()
+            .map(|a| match a {
+                LaunchArg::Scalar(v) => SimArg::Scalar(*v),
+                LaunchArg::Buf(b) => SimArg::Buf(self.buffers[b.index()].instances[gpu]),
+            })
+            .chain(bounds)
+            .collect()
     }
 
-    /// The full Figure 4 sequence: synchronize reads, launch partitions,
-    /// update trackers. With `capture` set, additionally records every
-    /// issued command into the returned [`LaunchPlan`] (and plans the
-    /// read synchronizations in parallel — they are read-only walks).
+    /// Resolve one partitioned launch into its [`LaunchPlan`] (§8.3):
+    /// enumerate each partition's read set and walk the trackers into a
+    /// coalesced copy list, resolve every partition's argument vector,
+    /// and enumerate the write ranges the trackers will take. Mutates
+    /// nothing — [`MgpuRuntime::issue`] applies the plan.
+    ///
+    /// `parallel` plans the read synchronizations on the rayon pool.
+    /// That pays off exactly when the plan will be kept; the plans are
+    /// identical either way.
     #[allow(clippy::too_many_arguments)]
-    fn launch_full(
-        &mut self,
+    fn resolve(
+        &self,
         ck: &CompiledKernel,
         grid: Dim3,
         block: Dim3,
         args: &[LaunchArg],
         scalars: &[i64],
         parts: &[Partition],
-        capture: bool,
-    ) -> Result<Option<LaunchPlan>> {
-        let mut captured = capture.then(LaunchPlan::default);
-        if let Some(cap) = &mut captured {
-            // Whole-buffer read/write sets for the launch-ahead
-            // pipeline's event edges (deduplicated; an argument bound to
-            // two parameters appears once).
-            // Captured buffer ids are namespace-stripped (local indices)
-            // so the plan is portable across tenants and processes;
-            // replay paths index buffers by `.index()`, which agrees.
-            for (arg_idx, _) in &ck.enums.reads {
-                if let LaunchArg::Buf(b) = args[*arg_idx] {
-                    if !cap.read_bufs.contains(&b.local()) {
-                        cap.read_bufs.push(b.local());
-                    }
+        parallel: bool,
+    ) -> (LaunchPlan, Walk) {
+        let buf = |arg_idx: usize| match args[arg_idx] {
+            LaunchArg::Buf(b) => b,
+            _ => unreachable!("validated"),
+        };
+        let mut plan = LaunchPlan {
+            launches: Vec::with_capacity(parts.len()),
+            ..LaunchPlan::default()
+        };
+        let mut walk = Walk {
+            syncs: Vec::with_capacity(parts.len() * ck.enums.reads.len()),
+            updates: Vec::with_capacity(parts.len() * ck.enums.writes.len()),
+        };
+        // Whole-buffer read/write sets for the launch-ahead pipeline's
+        // event edges (deduplicated; an argument bound to two parameters
+        // appears once). Plan buffer ids are namespace-stripped (local
+        // indices) so the plan is portable across tenants and processes.
+        let bufs_of = |accesses: &[(usize, AccessEnumerator)]| {
+            let mut bufs: Vec<VBufId> = Vec::new();
+            for b in accesses.iter().map(|(arg_idx, _)| buf(*arg_idx).local()) {
+                if !bufs.contains(&b) {
+                    bufs.push(b);
                 }
             }
-            for (arg_idx, _) in &ck.enums.writes {
-                if let LaunchArg::Buf(b) = args[*arg_idx] {
-                    if !cap.write_bufs.contains(&b.local()) {
-                        cap.write_bufs.push(b.local());
-                    }
-                }
-            }
-        }
+            bufs
+        };
+        plan.read_bufs = bufs_of(&ck.enums.reads);
+        plan.write_bufs = bufs_of(&ck.enums.writes);
+        let names = &ck.enums.scalar_names;
+        let spec = self.machine.spec();
 
         // ---- (2) synchronize read buffers --------------------------------
         if self.resolve_dependencies {
@@ -824,7 +793,6 @@ impl MgpuRuntime {
                 0
             };
             let buffers = &self.buffers;
-            let names = &ck.enums.scalar_names;
             let run = |&(gpu, part, arg_idx, renum): &(
                 usize,
                 &Partition,
@@ -832,10 +800,7 @@ impl MgpuRuntime {
                 &AccessEnumerator,
             )|
              -> SyncPlan {
-                let vb_id = match args[arg_idx] {
-                    LaunchArg::Buf(b) => b,
-                    _ => unreachable!("validated"),
-                };
+                let vb_id = buf(arg_idx);
                 plan_sync(
                     &buffers[vb_id.index()],
                     vb_id,
@@ -851,30 +816,15 @@ impl MgpuRuntime {
                     replica,
                 )
             };
-            // Parallel planning pays off exactly when the result will be
-            // reused — the capture path. Everyday launches with capture
-            // off keep the serial walk; the plans are identical either
-            // way, and applying them below preserves the serial
-            // (gpu-major, declaration-order) charge→copy sequence.
-            let sync_plans: Vec<SyncPlan> = if capture && tasks.len() > 1 {
+            let sync_plans: Vec<SyncPlan> = if parallel && tasks.len() > 1 {
                 tasks.par_iter().map(run).collect()
             } else {
                 tasks.iter().map(run).collect()
             };
-            let mut mayread_fetch = 0u64;
             for p in sync_plans {
-                mayread_fetch += p.fetch_bytes;
-                let cost = self.machine.spec().host_per_range * p.n_ranges as f64
-                    + self.machine.spec().host_per_segment * p.n_segments as f64;
-                self.machine.charge_host(cost, TimeCat::Pattern);
-                if p.replica_hits > 0 {
-                    self.machine
-                        .note_replica_hits(p.replica_hits, p.saved_bytes);
-                }
-                if let Some(cap) = &mut captured {
-                    cap.replica_hits += p.replica_hits;
-                    cap.replica_saved_bytes += p.saved_bytes;
-                }
+                plan.mayread_fetch_bytes += p.fetch_bytes;
+                plan.replica_hits += p.replica_hits;
+                plan.replica_saved_bytes += p.saved_bytes;
                 // Group consecutive same-source copies into strided
                 // transactions (the column-halo shape of a rectangular
                 // tiling): equal-length runs at a constant stride move
@@ -891,50 +841,27 @@ impl MgpuRuntime {
                     let segs: Vec<(u64, u64)> =
                         p.copies[i..j].iter().map(|&(_, s, e)| (s, e)).collect();
                     for g in strided_groups(&segs) {
-                        let src = self.buffers[p.vb.index()].instances[d];
-                        let dst = self.buffers[p.vb.index()].instances[p.gpu];
-                        let off = crate::to_usize(g.start, "copy offset")?;
-                        let run = crate::to_usize(g.run, "copy length")?;
-                        if g.count <= 1 {
-                            self.machine.copy_d2d(src, off, dst, off, run)?;
-                        } else {
-                            self.machine.copy_d2d_strided(
-                                src,
-                                dst,
-                                off,
-                                run,
-                                crate::to_usize(g.stride, "copy stride")?,
-                                crate::to_usize(g.count, "copy count")?,
-                            )?;
-                        }
-                        self.buffers[p.vb.index()].d2d_in_bytes += g.run * g.count;
-                        if replica {
-                            // The destination now holds a valid copy of
-                            // the freshest bytes in each copied run
-                            // (Uninit bridge gaps are skipped inside).
-                            for r in 0..g.count {
-                                let s = g.start + r * g.stride;
-                                self.buffers[p.vb.index()]
-                                    .tracker
-                                    .add_holder(s, s + g.run, p.gpu);
-                            }
-                        }
-                        if let Some(cap) = &mut captured {
-                            cap.copies.push(PlanCopy {
-                                vb: p.vb.local(),
-                                dst_gpu: p.gpu,
-                                src_dev: d,
-                                start: g.start,
-                                end: g.start + g.run,
-                                stride: g.stride,
-                                count: g.count,
-                            });
-                        }
+                        plan.copies.push(PlanCopy {
+                            vb: p.vb.local(),
+                            dst_gpu: p.gpu,
+                            src_dev: d,
+                            start: g.start,
+                            end: g.start + g.run,
+                            stride: g.stride,
+                            count: g.count,
+                        });
                     }
                     i = j;
                 }
+                walk.syncs.push(SyncGroup {
+                    end: plan.copies.len(),
+                    cost: spec.host_per_range * p.n_ranges as f64
+                        + spec.host_per_segment * p.n_segments as f64,
+                    replica_hits: p.replica_hits,
+                    saved_bytes: p.saved_bytes,
+                });
             }
-            if mayread_fetch > 0 {
+            if plan.mayread_fetch_bytes > 0 {
                 // Over-fetch = what the partitions fetch for their boxes
                 // beyond the single-device footprint of the same launch
                 // (the whole-grid box). With one partition the two sums
@@ -945,26 +872,15 @@ impl MgpuRuntime {
                     if renum.is_exact() {
                         continue;
                     }
-                    let vb_id = match args[*arg_idx] {
-                        LaunchArg::Buf(b) => b,
-                        _ => unreachable!("validated"),
-                    };
-                    let elem = self.buffers[vb_id.index()].elem_size as u64;
+                    let elem = self.buffers[buf(*arg_idx).index()].elem_size as u64;
                     let mut ranges: Vec<(u64, u64)> = Vec::new();
                     renum.for_each_range(&whole, block, grid, names, scalars, &mut |r| {
                         ranges.push((r.start * elem, r.end * elem));
                     });
                     baseline += merged_len(&ranges);
                 }
-                let over = mayread_fetch.saturating_sub(baseline);
-                self.machine.note_mayread(mayread_fetch, over);
-                if let Some(cap) = &mut captured {
-                    cap.mayread_fetch_bytes = mayread_fetch;
-                    cap.mayread_overfetch_bytes = over;
-                }
+                plan.mayread_overfetch_bytes = plan.mayread_fetch_bytes.saturating_sub(baseline);
             }
-            // Figure 4, line 8: all_devs_synchronize().
-            self.machine.sync_all();
         }
 
         // ---- (3) launch the partitions ------------------------------------
@@ -972,96 +888,334 @@ impl MgpuRuntime {
             if part.is_empty() {
                 continue;
             }
-            let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len() + 6);
-            for a in args {
-                match a {
-                    LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                    LaunchArg::Buf(b) => {
-                        sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[gpu]))
-                    }
-                }
-            }
-            for &m in part.lo.iter().chain(part.hi.iter()) {
-                sim_args.push(SimArg::Scalar(Value::I64(m)));
-            }
-            let traffic = ck.footprint_bytes(part, block, grid, scalars);
-            self.machine.launch_with_traffic(
+            plan.launches.push(PlanLaunch {
                 gpu,
-                &ck.partitioned,
-                &sim_args,
-                part.launch_grid(),
-                block,
-                Some(traffic),
-            )?;
-            if let Some(cap) = &mut captured {
-                cap.launches.push(PlanLaunch {
-                    gpu,
-                    sim_args,
-                    grid: part.launch_grid(),
-                    traffic,
-                });
-            }
+                sim_args: self.sim_args(args, gpu, bound_args(part)),
+                grid: part.launch_grid(),
+                traffic: ck.footprint_bytes(part, block, grid, scalars),
+            });
         }
 
         // ---- (4) update trackers (concurrent to the async kernels) --------
         if self.resolve_dependencies {
-            // One scratch Vec for every (gpu, write-arg) pair.
-            let mut updates: Vec<(u64, u64)> = Vec::new();
             for (gpu, part) in parts.iter().enumerate() {
                 if part.is_empty() {
                     continue;
                 }
                 for (arg_idx, wenum) in &ck.enums.writes {
-                    let vb_id = match args[*arg_idx] {
-                        LaunchArg::Buf(b) => b,
-                        _ => unreachable!("validated"),
-                    };
-                    let elem = self.buffers[vb_id.index()].elem_size as u64;
-                    updates.clear();
-                    wenum.for_each_range(
-                        part,
-                        block,
-                        grid,
-                        &ck.enums.scalar_names,
-                        scalars,
-                        &mut |r| {
-                            updates.push((r.start * elem, r.end * elem));
-                        },
-                    );
-                    let n_ranges = updates.len();
-                    if n_ranges > 0 {
-                        self.buffers[vb_id.index()].kernel_written = true;
-                    }
-                    // Segment maintenance costs what the update actually
-                    // walked, same accounting as the read path's query —
-                    // not one flat segment per range.
-                    let mut touched = 0usize;
-                    let mut invalidated = 0usize;
-                    for &(s, e) in &updates {
-                        let stats =
-                            self.buffers[vb_id.index()]
-                                .tracker
-                                .update(s, e, Owner::Device(gpu));
-                        touched += stats.touched;
-                        invalidated += stats.invalidated;
-                        if let Some(cap) = &mut captured {
-                            cap.updates.push(PlanUpdate {
-                                vb: vb_id.local(),
-                                gpu,
-                                start: s,
-                                end: e,
-                            });
-                        }
-                    }
-                    self.machine.note_replica_invalidations(invalidated as u64);
-                    let cost = self.machine.spec().host_per_range * n_ranges as f64
-                        + self.machine.spec().host_per_segment * touched as f64;
-                    self.machine.charge_host(cost, TimeCat::Pattern);
-                    debug_assert!(self.buffers[vb_id.index()].tracker.check_invariants());
+                    let vb = buf(*arg_idx);
+                    let elem = self.buffers[vb.index()].elem_size as u64;
+                    wenum.for_each_range(part, block, grid, names, scalars, &mut |r| {
+                        plan.updates.push(PlanUpdate {
+                            vb: vb.local(),
+                            gpu,
+                            start: r.start * elem,
+                            end: r.end * elem,
+                        });
+                    });
+                    walk.updates.push(plan.updates.len());
                 }
             }
         }
-        Ok(captured)
+        (plan, walk)
+    }
+
+    /// Issue one partitioned launch from its [`LaunchPlan`]: the Figure 4
+    /// sequence of read-sync copies, a barrier, the partition launches
+    /// and the tracker updates. Every partitioned launch runs through
+    /// here, whether its plan was just resolved or came from the cache.
+    ///
+    /// * A walked plan issues eagerly and pays, group by group, the
+    ///   pattern cost its tracker walk measured.
+    /// * A cached plan is validated first ([`MgpuRuntime::check_plan`]),
+    ///   then pays one flat `host_per_replay`. The tracker state matches
+    ///   the capture byte for byte (the key embeds its signature), so the
+    ///   command sequence is exact. With `launch_ahead > 0` it enters the
+    ///   launch-ahead window instead of issuing eagerly: copies go to the
+    ///   copy engines and launches wait on event edges instead of the
+    ///   barrier (see [`crate::pipeline`]).
+    fn issue(
+        &mut self,
+        ck: &CompiledKernel,
+        block: Dim3,
+        args: &[LaunchArg],
+        plan: &LaunchPlan,
+        source: Source<'_>,
+    ) -> Result<()> {
+        let walk = match source {
+            Source::Walked(w) => Some(w),
+            Source::Cached { shared } => {
+                self.check_plan(ck, args, plan)?;
+                if shared {
+                    // Another tenant (or a loaded snapshot) captured this
+                    // plan — the cross-tenant sharing the serving layer
+                    // exists for.
+                    self.machine.note_plan_shared_hit();
+                }
+                self.machine.note_plan_hit();
+                if plan.replica_hits > 0 {
+                    // Replay skips the planning walk that detects
+                    // replica-served reads; re-note what the capture saw.
+                    self.machine
+                        .note_replica_hits(plan.replica_hits, plan.replica_saved_bytes);
+                }
+                if plan.mayread_fetch_bytes > 0 {
+                    // Same: replay skips the enumerator walk that meters
+                    // bounded may-read boxes.
+                    self.machine
+                        .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
+                }
+                let cost = self.machine.spec().host_per_replay;
+                self.machine.charge_host(cost, TimeCat::Pattern);
+                None
+            }
+        };
+        let window = walk.is_none() && self.config.launch_ahead > 0;
+        // Functional WAR ordering only matters when byte effects are
+        // deferred to the streams; serial/perf machines need no tokens.
+        let track_events = window && self.machine.is_functional() && self.machine.is_streamed();
+        let replica = self.config.replica_coherence;
+
+        // ---- (2) synchronize read buffers --------------------------------
+        let mut syncs = walk.map_or(&[][..], |w| &w.syncs[..]).iter().peekable();
+        let mut first = 0usize;
+        for (i, c) in plan.copies.iter().enumerate() {
+            // A walked plan pays each (gpu, read-arg) pair's walk right
+            // before that pair's copies (pairs without copies included).
+            while let Some(g) = syncs.next_if(|_| first <= i) {
+                self.charge_sync(g);
+                first = g.end;
+            }
+            let vb = &self.buffers[c.vb.index()];
+            let (src, dst) = (vb.instances[c.src_dev], vb.instances[c.dst_gpu]);
+            let off = to_usize(c.start, "copy offset")?;
+            let run = to_usize(c.end - c.start, "copy length")?;
+            let stride = to_usize(c.stride, "copy stride")?;
+            let count = to_usize(c.count, "copy count")?;
+            if window {
+                let deps = [
+                    // RAW: the producer launch of these bytes on the source.
+                    self.pipeline.ready_at(c.vb, c.src_dev),
+                    // WAR: in-flight readers of the destination's instance.
+                    self.pipeline.read_until(c.vb, c.dst_gpu),
+                ];
+                let end = if count <= 1 {
+                    self.machine
+                        .copy_d2d_pipelined(src, off, dst, off, run, &deps)?
+                } else {
+                    self.machine
+                        .copy_d2d_strided_pipelined(src, dst, off, run, stride, count, &deps)?
+                };
+                if track_events {
+                    let token = self.machine.stream_mark(c.dst_gpu);
+                    self.pipeline
+                        .record_reader(c.vb, c.src_dev, c.dst_gpu, token);
+                }
+                self.pipeline.note_copy(c.vb, c.src_dev, c.dst_gpu, end);
+            } else if count <= 1 {
+                self.machine.copy_d2d(src, off, dst, off, run)?;
+            } else {
+                // A strided group (column halo of a rectangular tile):
+                // one DMA transaction.
+                self.machine
+                    .copy_d2d_strided(src, dst, off, run, stride, count)?;
+            }
+            let vb = &mut self.buffers[c.vb.index()];
+            vb.d2d_in_bytes += (c.end - c.start) * c.count;
+            if replica {
+                // The destination now holds a valid copy of the freshest
+                // bytes in each copied run (Uninit bridge gaps are
+                // skipped inside).
+                for r in 0..c.count {
+                    let s = c.start + r * c.stride;
+                    vb.tracker.add_holder(s, s + (c.end - c.start), c.dst_gpu);
+                }
+            }
+        }
+        for g in syncs {
+            self.charge_sync(g);
+        }
+        if walk.is_some() && plan.mayread_fetch_bytes > 0 {
+            self.machine
+                .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
+        }
+        if self.resolve_dependencies && !window {
+            // Figure 4, line 8: all_devs_synchronize().
+            self.machine.sync_all();
+        }
+
+        // ---- (3) launch the partitions ------------------------------------
+        let mut completion: f64 = 0.0;
+        let mut deps: Vec<f64> = Vec::new();
+        for l in &plan.launches {
+            // A cached plan's buffer positions are re-resolved against
+            // this runtime; a walked plan's already are.
+            let resolved;
+            let sim_args = if walk.is_some() {
+                &l.sim_args
+            } else {
+                resolved = self.sim_args(args, l.gpu, l.sim_args[args.len()..].iter().copied());
+                &resolved
+            };
+            if !window {
+                self.machine.launch_with_traffic(
+                    l.gpu,
+                    &ck.partitioned,
+                    sim_args,
+                    l.grid,
+                    block,
+                    Some(l.traffic),
+                )?;
+                continue;
+            }
+            // Gate the launch on its event edges: incoming copies of
+            // every buffer it reads, in-flight readers of every buffer it
+            // writes.
+            deps.clear();
+            for b in &plan.read_bufs {
+                deps.push(self.pipeline.ready_at(*b, l.gpu));
+            }
+            for b in &plan.write_bufs {
+                deps.push(self.pipeline.read_until(*b, l.gpu));
+                if track_events {
+                    for (reader, token) in self.pipeline.take_readers(*b, l.gpu) {
+                        self.machine.stream_wait_cross(l.gpu, reader, token);
+                    }
+                }
+            }
+            let end = self.machine.launch_pipelined(
+                l.gpu,
+                &ck.partitioned,
+                sim_args,
+                l.grid,
+                block,
+                Some(l.traffic),
+                &deps,
+            )?;
+            for b in &plan.write_bufs {
+                self.pipeline.note_kernel_write(*b, l.gpu, end);
+            }
+            for b in &plan.read_bufs {
+                self.pipeline.note_kernel_read(*b, l.gpu, end);
+            }
+            completion = completion.max(end);
+        }
+
+        // ---- (4) update trackers (concurrent to the async kernels) --------
+        // Trackers advance at submit time in the window too (see
+        // [`crate::pipeline`]). A walked plan pays each (gpu, write-arg)
+        // pair what its update walked; a cached plan is one uncharged
+        // group.
+        let all = [plan.updates.len()];
+        let mut first = 0usize;
+        for &end in walk.map_or(&all[..], |w| &w.updates[..]) {
+            let group = &plan.updates[first..end];
+            let mut touched = 0usize;
+            let mut invalidated = 0usize;
+            for u in group {
+                let vb = &mut self.buffers[u.vb.index()];
+                vb.kernel_written = true;
+                let stats = vb.tracker.update(u.start, u.end, Owner::Device(u.gpu));
+                touched += stats.touched;
+                invalidated += stats.invalidated;
+            }
+            debug_assert!(group
+                .last()
+                .is_none_or(|u| self.buffers[u.vb.index()].tracker.check_invariants()));
+            self.machine.note_replica_invalidations(invalidated as u64);
+            if walk.is_some() {
+                let spec = self.machine.spec();
+                let cost = spec.host_per_range * group.len() as f64
+                    + spec.host_per_segment * touched as f64;
+                self.machine.charge_host(cost, TimeCat::Pattern);
+            }
+            first = end;
+        }
+
+        if window {
+            // Copies with no kernel after them must still be covered by
+            // the window join.
+            for c in &plan.copies {
+                completion = completion.max(self.pipeline.ready_at(c.vb, c.dst_gpu));
+            }
+            if !plan.copies.is_empty() || !plan.launches.is_empty() {
+                self.pipeline_admit(completion);
+            }
+        }
+        Ok(())
+    }
+
+    /// Charge one read-sync pair of a walked plan: the pattern cost of
+    /// its enumerator walk and tracker query, and the replica-served
+    /// reads it found.
+    fn charge_sync(&mut self, g: &SyncGroup) {
+        self.machine.charge_host(g.cost, TimeCat::Pattern);
+        if g.replica_hits > 0 {
+            self.machine
+                .note_replica_hits(g.replica_hits, g.saved_bytes);
+        }
+    }
+
+    /// Refuse a cached plan this launch cannot issue safely. Plans
+    /// resolved live always pass; a plan loaded from a snapshot written
+    /// by another build or machine may name a device this machine lacks,
+    /// a buffer that is not one of this launch's arguments, or a range
+    /// outside its buffer. Checked before anything is issued, so a
+    /// refused plan leaves the runtime untouched.
+    fn check_plan(&self, ck: &CompiledKernel, args: &[LaunchArg], plan: &LaunchPlan) -> Result<()> {
+        let refuse = |what: String| {
+            Err(RuntimeError::Snapshot(format!(
+                "cached plan for {} cannot issue here: {what}",
+                ck.model.kernel_name
+            )))
+        };
+        let is_arg = |vb: &VBufId| {
+            args.iter()
+                .any(|a| matches!(a, LaunchArg::Buf(b) if b.local() == *vb))
+        };
+        if let Some(b) = (plan.read_bufs.iter())
+            .chain(&plan.write_bufs)
+            .find(|b| !is_arg(b))
+        {
+            return refuse(format!("buffer {} is not an argument", b.index()));
+        }
+        // Copies must sync a read buffer and updates claim a written one;
+        // both are arguments now, so their ids index `self.buffers`.
+        let fits = |bufs: &[VBufId], vb: VBufId, start: u64, end: Option<u64>| {
+            bufs.contains(&vb)
+                && end.is_some_and(|e| start <= e && e <= self.buffers[vb.index()].len as u64)
+        };
+        let n = self.n_devices();
+        if let Some(c) = plan.copies.iter().find(|c| {
+            // The last run ends at `end + (count - 1) * stride`.
+            let last = c.count.checked_sub(1).and_then(|k| k.checked_mul(c.stride));
+            let last = last.and_then(|o| o.checked_add(c.end));
+            c.src_dev >= n
+                || c.dst_gpu >= n
+                || c.start > c.end
+                || !fits(&plan.read_bufs, c.vb, c.start, last)
+        }) {
+            return refuse(format!("{c:?}"));
+        }
+        if let Some(l) = plan.launches.iter().find(|l| {
+            l.gpu >= n
+                || l.sim_args.len() != args.len() + BOUND_ARGS
+                || l.sim_args[args.len()..]
+                    .iter()
+                    .any(|a| !matches!(a, SimArg::Scalar(_)))
+        }) {
+            return refuse(format!(
+                "launch on device {} with {} arguments",
+                l.gpu,
+                l.sim_args.len()
+            ));
+        }
+        if let Some(u) = (plan.updates.iter())
+            .find(|u| u.gpu >= n || !fits(&plan.write_bufs, u.vb, u.start, Some(u.end)))
+        {
+            return refuse(format!("{u:?}"));
+        }
+        Ok(())
     }
 
     /// Single-device fallback path for kernels that failed the §4 checks
@@ -1086,15 +1240,7 @@ impl MgpuRuntime {
             }
         }
         self.machine.sync_all();
-        let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len());
-        for a in args {
-            match a {
-                LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                LaunchArg::Buf(b) => {
-                    sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[device]))
-                }
-            }
-        }
+        let sim_args = self.sim_args(args, device, []);
         let whole = Partition::whole(grid);
         let traffic = ck.footprint_bytes(&whole, block, grid, &scalars);
         self.machine.launch_with_traffic(
@@ -1170,18 +1316,7 @@ impl MgpuRuntime {
                 observed_per_gpu.push(Default::default());
                 continue;
             }
-            let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len() + 6);
-            for a in args {
-                match a {
-                    LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                    LaunchArg::Buf(b) => {
-                        sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[gpu]))
-                    }
-                }
-            }
-            for &m in part.lo.iter().chain(part.hi.iter()) {
-                sim_args.push(SimArg::Scalar(Value::I64(m)));
-            }
+            let sim_args = self.sim_args(args, gpu, bound_args(part));
             let obs = self.machine.launch_recording(
                 gpu,
                 &ck.partitioned,

@@ -8,7 +8,12 @@
 //! structure of one launch: which copies feed which partitions, and which
 //! buffers each partition reads and writes. When such a plan replays with
 //! [`crate::RuntimeConfig::launch_ahead`] > 0, the runtime records its
-//! per-device command segments with **event edges** instead of barriers:
+//! per-device command segments with **event edges** instead of barriers.
+//! The plan executor (`MgpuRuntime::issue`, one for every partitioned
+//! launch) makes that choice per issued op — `copy_d2d_pipelined` for
+//! `copy_d2d`, event edges for the barrier, `launch_pipelined` for
+//! `launch_with_traffic` — and this module holds the window state it
+//! consults:
 //!
 //! * a read-sync copy of buffer `b` from device `s` to device `g` waits
 //!   for `b`'s producer launch on `s` (`ready_at[b,s]`, read-after-write)
@@ -34,8 +39,8 @@
 //! path — the tracker models the submitted state of the machine, not the
 //! drained state. That keeps plan keys, hit rates and counters identical
 //! to `launch_ahead = 0`. The flip side is that any operation observing
-//! real bytes or host-side clocks mid-window — D2H/H2D, an uncaptured
-//! launch, a config change, direct machine access — must first flush
+//! real bytes or host-side clocks mid-window — D2H/H2D, a freshly
+//! resolved launch, a config change, direct machine access — must first flush
 //! the window (`MgpuRuntime::pipeline_flush`). One exception is carved
 //! out: a D2H gather of a buffer with **no in-flight writer** (no
 //! queued halo copy into it, no queued launch writing it — see
@@ -50,12 +55,7 @@
 //! snapshot always precedes the overwrite. Waits only ever reference
 //! strictly-earlier submissions, so the wait graph stays a DAG.
 
-use crate::plan::LaunchPlan;
-use crate::tracker::Owner;
 use crate::vbuf::{MgpuRuntime, VBufId};
-use crate::{to_usize, CompiledKernel, Result};
-use mekong_gpusim::TimeCat;
-use mekong_kernel::Dim3;
 use std::collections::{HashMap, VecDeque};
 
 /// Key of one whole-buffer × device dependency slot.
@@ -89,14 +89,14 @@ impl Pipeline {
         self.in_flight.len()
     }
 
-    fn ready_at(&self, vb: VBufId, device: usize) -> f64 {
+    pub(crate) fn ready_at(&self, vb: VBufId, device: usize) -> f64 {
         self.ready_at
             .get(&(vb.index(), device))
             .copied()
             .unwrap_or(0.0)
     }
 
-    fn read_until(&self, vb: VBufId, device: usize) -> f64 {
+    pub(crate) fn read_until(&self, vb: VBufId, device: usize) -> f64 {
         self.read_until
             .get(&(vb.index(), device))
             .copied()
@@ -111,29 +111,29 @@ impl Pipeline {
     }
 
     /// Record a completed-at-`end` copy of `vb` from `src` into `dst`.
-    fn note_copy(&mut self, vb: VBufId, src: usize, dst: usize, end: f64) {
+    pub(crate) fn note_copy(&mut self, vb: VBufId, src: usize, dst: usize, end: f64) {
         Self::raise(&mut self.ready_at, (vb.index(), dst), end);
         Self::raise(&mut self.read_until, (vb.index(), src), end);
     }
 
     /// Record a kernel on `device` finishing at `end` that read `vb`.
-    fn note_kernel_read(&mut self, vb: VBufId, device: usize, end: f64) {
+    pub(crate) fn note_kernel_read(&mut self, vb: VBufId, device: usize, end: f64) {
         Self::raise(&mut self.read_until, (vb.index(), device), end);
     }
 
     /// Record a kernel on `device` finishing at `end` that wrote `vb`.
-    fn note_kernel_write(&mut self, vb: VBufId, device: usize, end: f64) {
+    pub(crate) fn note_kernel_write(&mut self, vb: VBufId, device: usize, end: f64) {
         Self::raise(&mut self.ready_at, (vb.index(), device), end);
     }
 
-    fn record_reader(&mut self, vb: VBufId, src: usize, dst: usize, token: u64) {
+    pub(crate) fn record_reader(&mut self, vb: VBufId, src: usize, dst: usize, token: u64) {
         self.readers
             .entry((vb.index(), src))
             .or_default()
             .push((dst, token));
     }
 
-    fn take_readers(&mut self, vb: VBufId, device: usize) -> Vec<(usize, u64)> {
+    pub(crate) fn take_readers(&mut self, vb: VBufId, device: usize) -> Vec<(usize, u64)> {
         self.readers
             .remove(&(vb.index(), device))
             .unwrap_or_default()
@@ -185,147 +185,15 @@ impl MgpuRuntime {
         self.pipeline.depth()
     }
 
-    /// Replay a captured plan through the launch-ahead pipeline instead
-    /// of eagerly: copies go to the copy-engine clocks with event-edge
-    /// dependencies, launches wait only on *their* incoming data, and
-    /// the whole launch joins the in-flight window. Counters, tracker
-    /// updates and host charges are identical to the eager
-    /// `replay_plan` — only the device-clock schedule differs.
-    pub(crate) fn replay_plan_pipelined(
-        &mut self,
-        ck: &CompiledKernel,
-        block: Dim3,
-        args: &[crate::LaunchArg],
-        plan: &LaunchPlan,
-    ) -> Result<()> {
-        self.machine.note_plan_hit();
-        if plan.replica_hits > 0 {
-            self.machine
-                .note_replica_hits(plan.replica_hits, plan.replica_saved_bytes);
-        }
-        if plan.mayread_fetch_bytes > 0 {
-            self.machine
-                .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
-        }
-        let cost = self.machine.spec().host_per_replay;
-        self.machine.charge_host(cost, TimeCat::Pattern);
-        let replica = self.config.replica_coherence;
-        // Functional WAR ordering only matters when byte effects are
-        // deferred to the streams; serial/perf machines need no tokens.
-        let track_events = self.machine.is_functional() && self.machine.is_streamed();
-
-        // ---- read-sync copies, on the copy engines -----------------------
-        for c in &plan.copies {
-            let src = self.buffers[c.vb.index()].instances[c.src_dev];
-            let dst = self.buffers[c.vb.index()].instances[c.dst_gpu];
-            let off = to_usize(c.start, "copy offset")?;
-            let run = to_usize(c.end - c.start, "copy length")?;
-            let deps = [
-                // RAW: the producer launch of these bytes on the source.
-                self.pipeline.ready_at(c.vb, c.src_dev),
-                // WAR: in-flight readers of the destination's instance.
-                self.pipeline.read_until(c.vb, c.dst_gpu),
-            ];
-            let end = if c.count <= 1 {
-                self.machine
-                    .copy_d2d_pipelined(src, off, dst, off, run, &deps)?
-            } else {
-                // A captured strided group (column halo of a rectangular
-                // tile): one DMA transaction on the copy engine.
-                self.machine.copy_d2d_strided_pipelined(
-                    src,
-                    dst,
-                    off,
-                    run,
-                    to_usize(c.stride, "copy stride")?,
-                    to_usize(c.count, "copy count")?,
-                    &deps,
-                )?
-            };
-            if track_events {
-                let token = self.machine.stream_mark(c.dst_gpu);
-                self.pipeline
-                    .record_reader(c.vb, c.src_dev, c.dst_gpu, token);
-            }
-            self.pipeline.note_copy(c.vb, c.src_dev, c.dst_gpu, end);
-            self.buffers[c.vb.index()].d2d_in_bytes += (c.end - c.start) * c.count;
-            if replica {
-                for r in 0..c.count {
-                    let s = c.start + r * c.stride;
-                    self.buffers[c.vb.index()].tracker.add_holder(
-                        s,
-                        s + (c.end - c.start),
-                        c.dst_gpu,
-                    );
-                }
+    /// Admit one launch finishing at `completion` into the launch-ahead
+    /// window. A window deeper than `launch_ahead` blocks the host on its
+    /// oldest entry, as on a full CUDA stream.
+    pub(crate) fn pipeline_admit(&mut self, completion: f64) {
+        self.pipeline.in_flight.push_back(completion);
+        while self.pipeline.depth() > self.config.launch_ahead as usize {
+            if let Some(t) = self.pipeline.in_flight.pop_front() {
+                self.machine.join_host(t);
             }
         }
-
-        // ---- partition launches, gated on their event edges ---------------
-        let mut completion: f64 = 0.0;
-        let mut has_work = !plan.copies.is_empty();
-        let mut deps: Vec<f64> = Vec::new();
-        for l in &plan.launches {
-            deps.clear();
-            for b in &plan.read_bufs {
-                deps.push(self.pipeline.ready_at(*b, l.gpu));
-            }
-            for b in &plan.write_bufs {
-                deps.push(self.pipeline.read_until(*b, l.gpu));
-                if track_events {
-                    for (reader, token) in self.pipeline.take_readers(*b, l.gpu) {
-                        self.machine.stream_wait_cross(l.gpu, reader, token);
-                    }
-                }
-            }
-            // Buffer positions re-resolved from the live args — plans
-            // are namespace-local and portable across tenant runtimes.
-            let sim_args = self.resolve_sim_args(l, args);
-            let end = self.machine.launch_pipelined(
-                l.gpu,
-                &ck.partitioned,
-                &sim_args,
-                l.grid,
-                block,
-                Some(l.traffic),
-                &deps,
-            )?;
-            for b in &plan.write_bufs {
-                self.pipeline.note_kernel_write(*b, l.gpu, end);
-            }
-            for b in &plan.read_bufs {
-                self.pipeline.note_kernel_read(*b, l.gpu, end);
-            }
-            completion = completion.max(end);
-            has_work = true;
-        }
-        // Copies with no kernel after them must still be covered by the
-        // window join.
-        for c in &plan.copies {
-            completion = completion.max(self.pipeline.ready_at(c.vb, c.dst_gpu));
-        }
-
-        // ---- deferred tracker commit: advance at submit -------------------
-        let mut invalidated = 0usize;
-        for u in &plan.updates {
-            self.buffers[u.vb.index()].kernel_written = true;
-            invalidated += self.buffers[u.vb.index()]
-                .tracker
-                .update(u.start, u.end, Owner::Device(u.gpu))
-                .invalidated;
-            debug_assert!(self.buffers[u.vb.index()].tracker.check_invariants());
-        }
-        self.machine.note_replica_invalidations(invalidated as u64);
-
-        // ---- depth-limited window -----------------------------------------
-        if has_work {
-            self.pipeline.in_flight.push_back(completion);
-            while self.pipeline.depth() > self.config.launch_ahead as usize {
-                if let Some(t) = self.pipeline.in_flight.pop_front() {
-                    self.machine.join_host(t);
-                }
-            }
-        }
-        Ok(())
     }
 }

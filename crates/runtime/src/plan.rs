@@ -112,11 +112,11 @@ pub struct PlanUpdate {
     pub end: u64,
 }
 
-/// The complete captured command sequence of one partitioned launch,
-/// in issue order: copies (synchronize-reads), launches, tracker
-/// updates. Replay applies them directly and charges a single flat
-/// `host_per_replay` cost instead of the per-range/per-segment pattern
-/// costs the capture paid.
+/// The complete command sequence of one partitioned launch, in issue
+/// order: copies (synchronize-reads), launches, tracker updates. Every
+/// partitioned launch resolves one; a cached plan issues again with a
+/// single flat `host_per_replay` cost instead of the
+/// per-range/per-segment pattern costs its capture paid.
 ///
 /// The validity-set state the plan was captured against is pinned by the
 /// key's tracker signatures (holder sets are hashed), so a replayed plan

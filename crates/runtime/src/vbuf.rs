@@ -212,9 +212,9 @@ pub struct TunerReport {
 /// The multi-GPU runtime: owns the machine and all virtual buffers, and
 /// provides the CUDA Runtime API replacements (§8.4).
 pub struct MgpuRuntime {
-    /// The executor behind the runtime: the simulated multi-GPU machine,
-    /// the host CPU backend, or any other [`Backend`]. Every copy and
-    /// launch — eager and pipelined — dispatches through the trait;
+    /// The executor behind the runtime: the simulated machine (GPU dies,
+    /// host CPU sockets or both), or a wrapper around it. Every copy and
+    /// launch — eager and launch-ahead — dispatches through the trait;
     /// trackers, validity sets and plan capture/replay above this line
     /// are backend-agnostic.
     pub(crate) machine: Box<dyn Backend>,
@@ -244,16 +244,16 @@ pub struct MgpuRuntime {
 }
 
 impl MgpuRuntime {
-    /// Wrap a machine-level executor — [`mekong_gpusim::Machine`] for
-    /// simulated (or mixed CPU+GPU) devices, [`mekong_gpusim::CpuBackend`]
-    /// for pure-host execution.
+    /// Wrap a machine-level executor, normally a
+    /// [`mekong_gpusim::Machine`]: sim-GPU dies, host CPU sockets
+    /// ([`mekong_gpusim::MachineSpec::cpu_system`]) or a mix of both.
     pub fn new(machine: impl Backend + 'static) -> MgpuRuntime {
         MgpuRuntime::from_boxed(Box::new(machine))
     }
 
     /// [`MgpuRuntime::new`] for an already-boxed backend — lets callers
-    /// pick the executor at runtime (e.g. the cross-backend
-    /// differential tests).
+    /// pick the executor at runtime or wrap the machine (e.g. a tracing
+    /// or call-recording backend).
     pub fn from_boxed(machine: Box<dyn Backend>) -> MgpuRuntime {
         MgpuRuntime {
             machine,
